@@ -14,6 +14,12 @@
 //! bit-identical to a full resimulation — values are a pure function of
 //! the assignment and the injections — but `gate_evals` counts only the
 //! gates actually re-evaluated.
+//!
+//! The rest of a search step stays in the fault-effect cone too: every
+//! value write keeps the scratch's set of fault-effect nodes current, the
+//! effect checks and the D-frontier start from that set, and X-path
+//! reachability is answered on demand, once per objective, only for the
+//! frontier gates the objective inspects. No step sweeps the circuit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,12 +109,27 @@ impl PodemOutcome {
 /// so reuse never leaks state between faults.
 #[derive(Clone, Debug)]
 pub struct PodemScratch {
+    /// Five-valued value of every node under the current assignment and
+    /// injections. Written only through [`PodemScratch::set_value`]
+    /// after the reset in `begin`, so `effects` stays in step.
     values: Vec<D5>,
     assigned: Vec<Option<bool>>,
-    /// X-reachability, recomputed after every value change: `true` when
-    /// the node has a path of X-ish nets to an observable. Makes every
-    /// X-path query O(1).
-    x_reach: Vec<bool>,
+    /// The nodes whose value is a fault effect (D or D̄), unordered.
+    /// Every effect check and the D-frontier start here, so a search
+    /// step costs work in the fault-effect cone, not the circuit.
+    effects: Vec<NodeId>,
+    /// Node index → its position in `effects`. Meaningful only for
+    /// nodes whose value is a fault effect; stale elsewhere.
+    effect_pos: Vec<u32>,
+    /// X-path memo of the current objective, one [`XPath`] state per
+    /// node. All `Unknown` between objectives: each query's writes are
+    /// listed in `xpath_touched` and undone by `reset_x_paths`.
+    xpath: Vec<XPath>,
+    xpath_touched: Vec<NodeId>,
+    /// DFS stack of the X-path query: (node, next fanout-sink index).
+    xpath_stack: Vec<(NodeId, u32)>,
+    /// Buffer for the current objective's D-frontier.
+    frontier: Vec<NodeId>,
     /// Stem injections of the current fault set, indexed by node.
     stem_inj: Vec<Option<bool>>,
     /// Whether a node has any branch-fault injection on its pins.
@@ -118,6 +139,52 @@ pub struct PodemScratch {
     /// Event queue of order positions pending re-evaluation.
     queue: BinaryHeap<Reverse<usize>>,
     in_queue: Vec<bool>,
+    /// Candidate gates and X-path fanout edges examined, so a test can
+    /// check that search steps stay local to the fault-effect cone.
+    #[cfg(test)]
+    visits: u64,
+}
+
+/// Memoised answer of one node's X-path query within one objective.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum XPath {
+    Unknown,
+    /// On the current DFS path, not yet decided.
+    Open,
+    Reaches,
+    Blocked,
+}
+
+impl PodemScratch {
+    /// Forgets the X-path answers of the current objective.
+    fn reset_x_paths(&mut self) {
+        for &n in &self.xpath_touched {
+            self.xpath[n.index()] = XPath::Unknown;
+        }
+        self.xpath_touched.clear();
+    }
+
+    /// Writes `id`'s value, moving `id` into or out of the fault-effect
+    /// set when its effect status changes.
+    fn set_value(&mut self, id: NodeId, v: D5) {
+        let i = id.index();
+        let was = self.values[i].is_fault_effect();
+        self.values[i] = v;
+        match (was, v.is_fault_effect()) {
+            (false, true) => {
+                self.effect_pos[i] = self.effects.len() as u32;
+                self.effects.push(id);
+            }
+            (true, false) => {
+                let pos = self.effect_pos[i] as usize;
+                self.effects.swap_remove(pos);
+                if let Some(&moved) = self.effects.get(pos) {
+                    self.effect_pos[moved.index()] = pos as u32;
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A PODEM test generator over a circuit *view*.
@@ -391,12 +458,19 @@ impl<'c> Podem<'c> {
         PodemScratch {
             values: self.base_values.clone(),
             assigned: vec![None; n],
-            x_reach: vec![false; n],
+            effects: Vec::new(),
+            effect_pos: vec![0; n],
+            xpath: vec![XPath::Unknown; n],
+            xpath_touched: Vec::new(),
+            xpath_stack: Vec::new(),
+            frontier: Vec::new(),
             stem_inj: vec![None; n],
             has_branch: vec![false; n],
             branch_inj: Vec::new(),
             queue: BinaryHeap::new(),
             in_queue: vec![false; self.order.len()],
+            #[cfg(test)]
+            visits: 0,
         }
     }
 
@@ -460,7 +534,7 @@ impl<'c> Podem<'c> {
             work.gate_evals += 1;
             let out = self.eval_node(s, id);
             if out != s.values[id.index()] {
-                s.values[id.index()] = out;
+                s.set_value(id, out);
                 self.schedule_fanouts(s, id);
             }
         }
@@ -469,7 +543,9 @@ impl<'c> Podem<'c> {
     /// Resets the scratch to the base values and injects the fault set,
     /// propagating each injection through its fanout cone.
     fn begin(&self, s: &mut PodemScratch, faults: &[Fault], work: &mut WorkCounters) {
+        // Base values carry no fault effects, so the effect set empties.
         s.values.copy_from_slice(&self.base_values);
+        s.effects.clear();
         s.assigned.fill(None);
         s.stem_inj.fill(None);
         s.has_branch.fill(false);
@@ -506,7 +582,7 @@ impl<'c> Podem<'c> {
                         let v = s.values[n.index()];
                         let nv = D5::new(v.good(), V3::from_bool(f.stuck));
                         if nv != v {
-                            s.values[n.index()] = nv;
+                            s.set_value(n, nv);
                             self.schedule_fanouts(s, n);
                         }
                     }
@@ -522,7 +598,6 @@ impl<'c> Podem<'c> {
             }
         }
         self.drain(s, work);
-        self.recompute_x_reach(s);
     }
 
     /// Applies (or retracts) one controllable-input assignment and
@@ -543,10 +618,9 @@ impl<'c> Podem<'c> {
             v = D5::new(v.good(), V3::from_bool(stuck));
         }
         if v != s.values[pi.index()] {
-            s.values[pi.index()] = v;
+            s.set_value(pi, v);
             self.schedule_fanouts(s, pi);
             self.drain(s, work);
-            self.recompute_x_reach(s);
         }
     }
 
@@ -570,9 +644,7 @@ impl<'c> Podem<'c> {
     }
 
     fn fault_effect_at_observable(&self, s: &PodemScratch) -> bool {
-        self.observable
-            .iter()
-            .any(|&o| s.values[o.index()].is_fault_effect())
+        s.effects.iter().any(|&e| self.is_observable[e.index()])
     }
 
     /// The five-valued value seen by pin `pin` of gate `id`, including
@@ -588,11 +660,7 @@ impl<'c> Podem<'c> {
     /// Whether any fault effect exists: on a net, or injected at a gate
     /// pin by an excited branch fault.
     fn has_effect(&self, s: &PodemScratch, faults: &[Fault]) -> bool {
-        if self
-            .circuit
-            .node_ids()
-            .any(|id| s.values[id.index()].is_fault_effect())
-        {
+        if !s.effects.is_empty() {
             return true;
         }
         faults.iter().any(|f| {
@@ -602,70 +670,111 @@ impl<'c> Podem<'c> {
         })
     }
 
-    /// D-frontier: gates with an X-ish output and a fault effect on some
-    /// input pin (including branch-fault injection).
-    fn d_frontier(&self, s: &PodemScratch) -> Vec<NodeId> {
-        let mut frontier = Vec::new();
-        for &id in &self.order {
-            let node = self.circuit.node(id);
-            if !node.kind().is_gate() {
-                continue;
-            }
-            if !s.values[id.index()].has_x() {
-                continue;
-            }
-            let any_d = if s.has_branch[id.index()] {
-                node.fanin()
-                    .iter()
-                    .enumerate()
-                    .any(|(pin, &f)| self.pin_value(s, id, pin, f).is_fault_effect())
-            } else {
-                node.fanin()
-                    .iter()
-                    .any(|&f| s.values[f.index()].is_fault_effect())
-            };
-            if any_d {
-                frontier.push(id);
-            }
+    /// Whether gate `g` is on the D-frontier: an X-ish output and a
+    /// fault effect on some input pin (including branch-fault injection).
+    fn on_frontier(&self, s: &PodemScratch, g: NodeId) -> bool {
+        let node = self.circuit.node(g);
+        if !node.kind().is_gate() || !s.values[g.index()].has_x() {
+            return false;
         }
-        frontier
+        if s.has_branch[g.index()] {
+            node.fanin()
+                .iter()
+                .enumerate()
+                .any(|(pin, &f)| self.pin_value(s, g, pin, f).is_fault_effect())
+        } else {
+            node.fanin()
+                .iter()
+                .any(|&f| s.values[f.index()].is_fault_effect())
+        }
     }
 
-    /// Recomputes the scratch's X-reachability by one reverse
-    /// topological sweep: a node reaches an observable through X nets
-    /// iff it is observable itself, or some X-ish gate reading it does.
-    fn recompute_x_reach(&self, s: &mut PodemScratch) {
-        for i in 0..s.x_reach.len() {
-            s.x_reach[i] = self.is_observable[i];
+    /// Fills `frontier` with the D-frontier, nearest an observable first
+    /// and in topological order among equals. A frontier gate reads an
+    /// effect net or carries a branch injection, so the candidates are
+    /// the effect nodes' fanout sinks plus the branch-injected gates.
+    fn d_frontier(&self, s: &mut PodemScratch, frontier: &mut Vec<NodeId>) {
+        frontier.clear();
+        for &e in &s.effects {
+            for &sink in self.topo.fanout_sinks(e) {
+                #[cfg(test)]
+                {
+                    s.visits += 1;
+                }
+                if self.on_frontier(s, sink) {
+                    frontier.push(sink);
+                }
+            }
         }
-        for oi in (0..self.order.len()).rev() {
-            let id = self.order[oi];
-            if s.x_reach[id.index()] {
+        for &(g, _, _) in &s.branch_inj {
+            let g = NodeId::from_index(g);
+            if self.on_frontier(s, g) {
+                frontier.push(g);
+            }
+        }
+        // (obs_dist, order_pos) is unique per gate, so duplicates (a gate
+        // reading several effect nets) end up adjacent.
+        frontier.sort_unstable_by_key(|&g| (self.obs_dist[g.index()], self.order_pos[g.index()]));
+        frontier.dedup();
+    }
+
+    /// Whether `from` reaches an observable through X nets: it is
+    /// observable itself, or some X-ish gate reading it does. An
+    /// iterative DFS over fanout sinks, memoised in `s.xpath` until the
+    /// next [`PodemScratch::reset_x_paths`]; valid while values do not change.
+    fn x_path(&self, s: &mut PodemScratch, from: NodeId) -> bool {
+        match s.xpath[from.index()] {
+            XPath::Reaches => return true,
+            XPath::Blocked => return false,
+            XPath::Unknown | XPath::Open => {}
+        }
+        if self.open_x_path(s, from) {
+            return true;
+        }
+        while let Some(top) = s.xpath_stack.last_mut() {
+            let (node, next) = *top;
+            let Some(&sink) = self.topo.fanout_sinks(node).get(next as usize) else {
+                s.xpath[node.index()] = XPath::Blocked;
+                s.xpath_stack.pop();
+                continue;
+            };
+            top.1 += 1;
+            #[cfg(test)]
+            {
+                s.visits += 1;
+            }
+            if !self.circuit.node(sink).kind().is_gate() || !s.values[sink.index()].has_x() {
                 continue;
             }
-            let reach = self.topo.fanout_sinks(id).iter().any(|&sink| {
-                self.circuit.node(sink).kind().is_gate()
-                    && s.values[sink.index()].has_x()
-                    && s.x_reach[sink.index()]
-            });
-            if reach {
-                s.x_reach[id.index()] = true;
+            let reaches = match s.xpath[sink.index()] {
+                XPath::Reaches => true,
+                // `Open` would be a combinational cycle; gates form a DAG.
+                XPath::Blocked | XPath::Open => false,
+                XPath::Unknown => self.open_x_path(s, sink),
+            };
+            if reaches {
+                // Every node on the DFS path reaches through its child.
+                for &(n, _) in &s.xpath_stack {
+                    s.xpath[n.index()] = XPath::Reaches;
+                }
+                s.xpath_stack.clear();
+                return true;
             }
         }
-        // Non-gate nodes (inputs, flip-flop outputs) also feed gates.
-        for id in self.circuit.node_ids() {
-            if s.x_reach[id.index()] || self.circuit.node(id).kind().is_gate() {
-                continue;
-            }
-            let reach = self.topo.fanout_sinks(id).iter().any(|&sink| {
-                self.circuit.node(sink).kind().is_gate()
-                    && s.values[sink.index()].has_x()
-                    && s.x_reach[sink.index()]
-            });
-            if reach {
-                s.x_reach[id.index()] = true;
-            }
+        false
+    }
+
+    /// First visit of `n` in an X-path query: an observable reaches at
+    /// once (returns `true`); anything else goes on the DFS stack.
+    fn open_x_path(&self, s: &mut PodemScratch, n: NodeId) -> bool {
+        s.xpath_touched.push(n);
+        if self.is_observable[n.index()] {
+            s.xpath[n.index()] = XPath::Reaches;
+            return true;
         }
+        s.xpath[n.index()] = XPath::Open;
+        s.xpath_stack.push((n, 0));
+        false
     }
 
     /// Static controllability cost of setting `node` to `val`.
@@ -679,7 +788,7 @@ impl<'c> Podem<'c> {
 
     /// Returns the next objective `(net, good_value)` or `None` when the
     /// current state is a dead end.
-    fn objective(&self, s: &PodemScratch, faults: &[Fault]) -> Option<(NodeId, bool)> {
+    fn objective(&self, s: &mut PodemScratch, faults: &[Fault]) -> Option<(NodeId, bool)> {
         if !self.has_effect(s, faults) {
             // Excitation: find a site whose good value is still X and is
             // statically justifiable (finite SCOAP cost).
@@ -694,21 +803,22 @@ impl<'c> Podem<'c> {
         // Propagation: pick the D-frontier gate nearest an observable
         // that still has an X-path, then set one X side-input to the
         // non-controlling value.
-        let mut frontier = self.d_frontier(s);
-        frontier.sort_by_key(|&g| self.obs_dist[g.index()]);
-        for g in frontier {
-            if !s.x_reach[g.index()] {
-                continue;
+        let mut frontier = std::mem::take(&mut s.frontier);
+        self.d_frontier(s, &mut frontier);
+        let pick = frontier.iter().find_map(|&g| {
+            if !self.x_path(s, g) {
+                return None;
             }
             let node = self.circuit.node(g);
             let side_val = node.kind().transparent_side_value().unwrap_or(true);
-            for &f in node.fanin() {
-                if s.values[f.index()].good() == V3::X && self.cc(f, side_val) < INF {
-                    return Some((f, side_val));
-                }
-            }
-        }
-        None
+            node.fanin()
+                .iter()
+                .find(|&&f| s.values[f.index()].good() == V3::X && self.cc(f, side_val) < INF)
+                .map(|&f| (f, side_val))
+        });
+        s.frontier = frontier;
+        s.reset_x_paths();
+        pick
     }
 
     /// Backtraces an objective to an unassigned controllable input.
@@ -742,41 +852,29 @@ impl<'c> Podem<'c> {
                 GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
                     let ctrl = kind.controlling_value().expect("and/or family");
                     let want_input = val ^ kind.output_inverted();
-                    let cc = |f: NodeId, v: bool| {
-                        if v {
-                            self.cc1[f.index()]
-                        } else {
-                            self.cc0[f.index()]
-                        }
+                    let candidates = || {
+                        node.fanin()
+                            .iter()
+                            .copied()
+                            .filter(|&f| s.values[f.index()].good() == V3::X)
                     };
-                    let candidates: Vec<NodeId> = node
-                        .fanin()
-                        .iter()
-                        .copied()
-                        .filter(|&f| s.values[f.index()].good() == V3::X)
-                        .collect();
-                    if candidates.is_empty() {
-                        return None;
-                    }
+                    // `min_by_key` keeps the first minimum and
+                    // `max_by_key` the last maximum; both yield `None`
+                    // when no input is X.
                     let pick = if want_input == ctrl {
                         // One controlling input suffices: easiest, and it
                         // must be justifiable at all.
-                        candidates
-                            .iter()
-                            .copied()
-                            .filter(|&f| cc(f, want_input) < INF)
-                            .min_by_key(|&f| cc(f, want_input))?
+                        candidates()
+                            .filter(|&f| self.cc(f, want_input) < INF)
+                            .min_by_key(|&f| self.cc(f, want_input))?
                     } else {
                         // All inputs must be non-controlling: if any is
                         // statically unjustifiable the objective is dead;
                         // otherwise take the hardest first.
-                        if candidates.iter().any(|&f| cc(f, want_input) >= INF) {
+                        if candidates().any(|f| self.cc(f, want_input) >= INF) {
                             return None;
                         }
-                        candidates
-                            .iter()
-                            .copied()
-                            .max_by_key(|&f| cc(f, want_input))?
+                        candidates().max_by_key(|&f| self.cc(f, want_input))?
                     };
                     net = pick;
                     val = want_input;
@@ -786,26 +884,18 @@ impl<'c> Podem<'c> {
                     // parity xor parity of the other (known) inputs,
                     // treating other X inputs as 0.
                     let desired = val ^ (kind == GateKind::Xnor);
-                    let mut parity = desired;
-                    let mut xs: Vec<NodeId> = Vec::new();
-                    for &f in node.fanin() {
-                        match s.values[f.index()].good() {
-                            V3::One => parity = !parity,
-                            V3::Zero => {}
-                            V3::X => xs.push(f),
-                        }
-                    }
-                    let cc = |f: NodeId, v: bool| {
-                        if v {
-                            self.cc1[f.index()]
-                        } else {
-                            self.cc0[f.index()]
-                        }
-                    };
+                    let ones = node
+                        .fanin()
+                        .iter()
+                        .filter(|&&f| s.values[f.index()].good() == V3::One)
+                        .count();
+                    let parity = desired ^ (ones % 2 == 1);
                     // Remaining X inputs other than the chosen one are
                     // treated as 0 by this heuristic, so each candidate
                     // would need the same `parity` value.
-                    net = xs.iter().copied().find(|&f| cc(f, parity) < INF)?;
+                    net = node.fanin().iter().copied().find(|&f| {
+                        s.values[f.index()].good() == V3::X && self.cc(f, parity) < INF
+                    })?;
                     val = parity;
                 }
                 GateKind::Input | GateKind::Dff => unreachable!("handled above"),
@@ -996,6 +1086,215 @@ mod tests {
             values[id.index()] = out;
         }
         values
+    }
+
+    /// Reference D-frontier (the pre-incremental full sweep): every
+    /// gate in topological order with an X-ish output and a fault effect
+    /// on some pin, stably sorted by distance to an observable.
+    fn reference_d_frontier(podem: &Podem<'_>, s: &PodemScratch) -> Vec<NodeId> {
+        let mut frontier = Vec::new();
+        for &id in &podem.order {
+            let node = podem.circuit.node(id);
+            if !node.kind().is_gate() || !s.values[id.index()].has_x() {
+                continue;
+            }
+            let any_d = node
+                .fanin()
+                .iter()
+                .enumerate()
+                .any(|(pin, &f)| podem.pin_value(s, id, pin, f).is_fault_effect());
+            if any_d {
+                frontier.push(id);
+            }
+        }
+        frontier.sort_by_key(|&g| podem.obs_dist[g.index()]);
+        frontier
+    }
+
+    /// Reference X-reachability (the pre-on-demand whole-circuit
+    /// sweep): one reverse topological pass, then the non-gate nodes.
+    fn reference_x_reach(podem: &Podem<'_>, s: &PodemScratch) -> Vec<bool> {
+        let mut x_reach = podem.is_observable.clone();
+        let reaches = |x_reach: &[bool], id: NodeId| {
+            podem.topo.fanout_sinks(id).iter().any(|&sink| {
+                podem.circuit.node(sink).kind().is_gate()
+                    && s.values[sink.index()].has_x()
+                    && x_reach[sink.index()]
+            })
+        };
+        for &id in podem.order.iter().rev() {
+            if !x_reach[id.index()] && reaches(&x_reach, id) {
+                x_reach[id.index()] = true;
+            }
+        }
+        for id in podem.circuit.node_ids() {
+            if !x_reach[id.index()]
+                && !podem.circuit.node(id).kind().is_gate()
+                && reaches(&x_reach, id)
+            {
+                x_reach[id.index()] = true;
+            }
+        }
+        x_reach
+    }
+
+    /// Checks every incremental structure of the scratch against its
+    /// full-sweep reference under the current assignment.
+    fn assert_matches_references(podem: &Podem<'_>, s: &mut PodemScratch, faults: &[Fault]) {
+        let mut effects = s.effects.clone();
+        effects.sort();
+        let swept: Vec<NodeId> = podem
+            .circuit
+            .node_ids()
+            .filter(|id| s.values[id.index()].is_fault_effect())
+            .collect();
+        assert_eq!(effects, swept, "fault-effect set");
+        let branch_effect = faults.iter().any(|f| {
+            matches!(f.site, FaultSite::Branch { .. })
+                && podem.site_good(s, f).is_known()
+                && podem.site_good(s, f) != V3::from_bool(f.stuck)
+        });
+        assert_eq!(
+            podem.has_effect(s, faults),
+            !swept.is_empty() || branch_effect
+        );
+        let observed = podem
+            .observable
+            .iter()
+            .any(|&o| s.values[o.index()].is_fault_effect());
+        assert_eq!(podem.fault_effect_at_observable(s), observed);
+        let mut frontier = Vec::new();
+        podem.d_frontier(s, &mut frontier);
+        assert_eq!(frontier, reference_d_frontier(podem, s), "D-frontier");
+        // Query every node twice, forward then backward, so answers
+        // served from the memo are checked as well as fresh ones.
+        let reference = reference_x_reach(podem, s);
+        let ids: Vec<NodeId> = podem.circuit.node_ids().collect();
+        for id in ids.iter().chain(ids.iter().rev()) {
+            assert_eq!(
+                podem.x_path(s, *id),
+                reference[id.index()],
+                "X-path of {id}"
+            );
+        }
+        s.reset_x_paths();
+        assert!(s.xpath.iter().all(|&x| x == XPath::Unknown));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// After injection and after every assign/retract step, the
+        /// fault-effect set, D-frontier (with its order), X-path answers
+        /// and effect checks equal their full-sweep references, for
+        /// single stem/branch faults (one frame) and frame-copy fault
+        /// sets (several frames).
+        #[test]
+        fn incremental_step_state_matches_full_sweeps(
+            shape in (0u64..1000, 20usize..120, 1usize..8, 2usize..8),
+            frames in 1usize..4,
+            fault_pick in 0usize..100_000,
+            view in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+            ops in proptest::collection::vec((0usize..1000, 0u8..3), 1..40),
+        ) {
+            let (seed, gates, dffs, inputs) = shape;
+            let c = fscan_netlist::generate(
+                &fscan_netlist::GeneratorConfig::new(format!("p{seed}"), seed)
+                    .inputs(inputs)
+                    .gates(gates)
+                    .dffs(dffs),
+            );
+            let universe = fscan_fault::all_faults(&c);
+            let fault = universe[fault_pick % universe.len()];
+            let (u, map) = crate::unroll::unroll_with_map(&c, frames);
+            let faults: Vec<Fault> = (0..frames)
+                .filter_map(|t| u.map_fault(&c, fault, t, &map))
+                .collect();
+            let (state_controllable, pin_first_pi) = view;
+            let mut controllable = Vec::new();
+            let mut fixed = Vec::new();
+            let mut observable = Vec::new();
+            for t in 0..frames {
+                for (k, &pi) in u.pis(t).iter().enumerate() {
+                    if pin_first_pi && k == 0 {
+                        fixed.push((pi, t % 2 == 0));
+                    } else {
+                        controllable.push(pi);
+                    }
+                }
+                observable.extend_from_slice(u.pos(t));
+            }
+            if state_controllable {
+                controllable.extend_from_slice(u.state0s());
+                observable.extend_from_slice(u.captures(frames - 1));
+            }
+            let podem = Podem::new(u.circuit(), controllable.clone(), fixed, observable);
+            let mut s = podem.scratch();
+            let mut work = WorkCounters::ZERO;
+            podem.begin(&mut s, &faults, &mut work);
+            assert_matches_references(&podem, &mut s, &faults);
+            for (pick, code) in ops {
+                let pi = controllable[pick % controllable.len()];
+                let val = [None, Some(false), Some(true)][code as usize];
+                podem.set_input(&mut s, pi, val, &mut work);
+                assert_matches_references(&podem, &mut s, &faults);
+            }
+        }
+    }
+
+    /// A small fault cone beside a disjoint NAND chain of `block` gates
+    /// whose inputs are controllable and whose every eighth gate is
+    /// observable. Returns the circuit and the cone's gates.
+    fn cone_beside_block(block: usize) -> (Circuit, Vec<NodeId>) {
+        let mut c = Circuit::new("cone");
+        let xs: Vec<NodeId> = (0..8).map(|i| c.add_input(format!("x{i}"))).collect();
+        let mut prev = xs[0];
+        for i in 0..block {
+            prev = c.add_gate(GateKind::Nand, vec![prev, xs[i % 8]], format!("h{i}"));
+            if i % 8 == 7 {
+                c.mark_output(prev);
+            }
+        }
+        c.mark_output(prev);
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let d = c.add_input("d");
+        let e = c.add_input("e");
+        let g1 = c.add_gate(GateKind::And, vec![a, b], "g1");
+        let g2 = c.add_gate(GateKind::Or, vec![g1, d], "g2");
+        let g3 = c.add_gate(GateKind::Nand, vec![g1, e], "g3");
+        let g4 = c.add_gate(GateKind::Xor, vec![g2, g3], "g4");
+        c.mark_output(g4);
+        (c, vec![g1, g2, g3, g4])
+    }
+
+    #[test]
+    fn step_work_stays_in_the_fault_cone() {
+        // Frontier candidates and X-path edges examined over every cone
+        // fault's search must not depend on the disjoint block's size:
+        // a whole-circuit sweep per step would grow with it.
+        let tally = |block: usize| {
+            let (c, cone) = cone_beside_block(block);
+            let podem = Podem::new(&c, c.inputs().to_vec(), vec![], c.outputs().to_vec());
+            let mut s = podem.scratch();
+            let mut steps = 0;
+            for &g in &cone {
+                for stuck in [false, true] {
+                    let out = podem.run_with_scratch(
+                        &mut s,
+                        &[Fault::stem(g, stuck)],
+                        &PodemConfig::default(),
+                    );
+                    steps += out.steps();
+                }
+            }
+            (steps, s.visits)
+        };
+        let (small_steps, small_visits) = tally(16);
+        let (large_steps, large_visits) = tally(4096);
+        assert!(small_steps > 0 && small_visits > 0);
+        assert_eq!(small_steps, large_steps);
+        assert_eq!(small_visits, large_visits);
     }
 
     #[test]
