@@ -201,15 +201,14 @@ impl<'d, W: Rail> Classifier<'d, W> {
     }
 
     /// Classifies up to `W::LANES` faults in one packed implication
-    /// word.
+    /// word, appending their classifications to `out` in lane order.
     ///
     /// The packed engine's per-lane changes are bit-identical, in the
     /// same order, to a scalar run on each fault alone, so the verdicts
     /// match [`classify`](Self::classify) exactly — at a fraction of the
     /// gate evaluations.
-    pub fn classify_word(&mut self, faults: &[Fault]) -> Vec<ClassifiedFault> {
+    pub fn classify_word(&mut self, faults: &[Fault], out: &mut Vec<ClassifiedFault>) {
         self.packed.run_word(&self.steady, faults);
-        let mut out = Vec::with_capacity(faults.len());
         for (lane, &fault) in faults.iter().enumerate() {
             // Count the lane's cone while assembling: lane-exactness
             // makes this the same size a scalar run would report.
@@ -221,7 +220,6 @@ impl<'d, W: Rail> Classifier<'d, W> {
             self.cone_hist.record(size);
             out.push(cf);
         }
-        out
     }
 
     /// Turns a fault's net-change sequence into its classification.
@@ -274,6 +272,9 @@ impl<'d, W: Rail> Classifier<'d, W> {
         }
         locations.sort();
         locations.dedup();
+        // Classifications outlive the run (a served report's ECO carry
+        // keeps every one), so drop the growth slack.
+        locations.shrink_to_fit();
         let category = if locations.is_empty() {
             Category::Unaffected
         } else if any_hard {
@@ -288,12 +289,6 @@ impl<'d, W: Rail> Classifier<'d, W> {
             category,
             locations,
         }
-    }
-
-    /// The scan-mode steady (fault-free) values, shared with callers
-    /// that need them.
-    pub fn steady(&self) -> &[V3] {
-        &self.steady
     }
 
     /// The shared combinational evaluator.
@@ -385,36 +380,36 @@ pub fn classify_faults_sharded_wide<W: Rail>(
     faults: &[Fault],
     threads: usize,
 ) -> (Vec<ClassifiedFault>, ShardStats, WorkCounters, ConeHist) {
-    // One probe classifier computes the steady state the packer keys on;
-    // its engines do no implication work, so no counters are lost.
-    let probe = Classifier::new(design);
-    let order = fscan_sim::pack_order(&design.topology(), probe.steady(), faults);
-    let packed: Vec<Fault> = order.iter().map(|&i| faults[i]).collect();
+    let mut order = fscan_sim::pack_order(&design.topology(), &design.scan_mode_values(), faults);
     let lanes = W::LANES as usize;
     let hist = std::sync::Mutex::new(ConeHist::default());
-    let (classified, stats, work) = shard_map_counted(
+    let (mut classified, stats, work) = shard_map_counted(
         threads,
         lanes,
-        &packed,
-        || Classifier::<W>::new_wide(design),
-        |classifier, _, chunk| {
-            let out: Vec<ClassifiedFault> = chunk
-                .chunks(lanes)
-                .flat_map(|word| classifier.classify_word(word))
-                .collect();
+        &order,
+        || (Classifier::<W>::new_wide(design), Vec::with_capacity(lanes)),
+        |(classifier, word), _, chunk| {
+            let mut out = Vec::with_capacity(chunk.len());
+            for positions in chunk.chunks(lanes) {
+                word.clear();
+                word.extend(positions.iter().map(|&i| faults[i]));
+                classifier.classify_word(word, &mut out);
+            }
             hist.lock().unwrap().merge(&classifier.take_cone_hist());
             (out, classifier.take_counters())
         },
     );
-    let mut slots: Vec<Option<ClassifiedFault>> = vec![None; faults.len()];
-    for (&slot, cf) in order.iter().zip(classified) {
-        slots[slot] = Some(cf);
+    // Scatter back to input order in place: `classified[k]` belongs at
+    // `order[k]`; each swap settles one slot, so a cycle of the
+    // permutation costs its length minus one swaps.
+    for k in 0..order.len() {
+        while order[k] != k {
+            let dest = order[k];
+            classified.swap(k, dest);
+            order.swap(k, dest);
+        }
     }
-    let unpacked = slots
-        .into_iter()
-        .map(|s| s.expect("pack_order is a permutation"))
-        .collect();
-    (unpacked, stats, work, hist.into_inner().unwrap())
+    (classified, stats, work, hist.into_inner().unwrap())
 }
 
 #[cfg(test)]

@@ -44,7 +44,9 @@ use crate::classify::{
 };
 use crate::comb_phase::{CombPhase, CombPhaseConfig, CombPhaseOutcome};
 use crate::compact::{compact_program_at, CompactionReport};
-use crate::pipeline::{arena_footprint, fill_mem, PipelineConfig, PipelineReport, PipelineSession};
+use crate::pipeline::{
+    arena_footprint, fill_mem, target_locations, PipelineConfig, PipelineReport, PipelineSession,
+};
 use crate::program::{ScanTest, TestProgram};
 use crate::seq_phase::{DistParams, SeqPhase, SeqPhaseOutcome};
 
@@ -59,10 +61,12 @@ use crate::seq_phase::{DistParams, SeqPhase, SeqPhaseOutcome};
 #[derive(Clone, Debug)]
 pub struct EcoCarry {
     pub(crate) config: PipelineConfig,
-    pub(crate) classified: Vec<ClassifiedFault>,
+    pub(crate) classified: CarriedClassification,
     pub(crate) alt_vectors: Vec<Vec<V3>>,
     pub(crate) alt_trace: GoodTrace,
-    pub(crate) alt_detections: HashMap<Fault, Option<usize>>,
+    /// Alternating-sequence detection of each `affected` fault, by
+    /// position.
+    pub(crate) alt_detections: Vec<Option<usize>>,
     pub(crate) hard: Vec<Fault>,
     pub(crate) comb_outcome: CombPhaseOutcome,
     pub(crate) affected: Vec<Fault>,
@@ -72,14 +76,69 @@ pub struct EcoCarry {
     pub(crate) seq_outcome: SeqPhaseOutcome,
 }
 
+/// A run's classification as its carry keeps it: one flat location list
+/// instead of a `Vec` per fault, about half the bytes of
+/// `Vec<ClassifiedFault>` (a served report keeps its carry while it is
+/// cached as an ECO base).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CarriedClassification {
+    faults: Vec<Fault>,
+    categories: Vec<Category>,
+    /// Fault `i`'s locations are `locations[loc_ends[i - 1]..loc_ends[i]]`
+    /// (from 0 for `i == 0`).
+    loc_ends: Vec<u32>,
+    locations: Vec<ChainLocation>,
+}
+
+impl CarriedClassification {
+    pub(crate) fn pack(classified: Vec<ClassifiedFault>) -> CarriedClassification {
+        let mut carried = CarriedClassification {
+            faults: Vec::with_capacity(classified.len()),
+            categories: Vec::with_capacity(classified.len()),
+            loc_ends: Vec::with_capacity(classified.len()),
+            locations: Vec::with_capacity(classified.iter().map(|c| c.locations.len()).sum()),
+        };
+        for c in classified {
+            carried.faults.push(c.fault);
+            carried.categories.push(c.category);
+            carried.locations.extend_from_slice(&c.locations);
+            let end = u32::try_from(carried.locations.len()).expect("chain locations fit in u32");
+            carried.loc_ends.push(end);
+        }
+        carried
+    }
+
+    /// Position of every carried fault.
+    fn positions(&self) -> HashMap<Fault, usize> {
+        self.faults
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| (f, i))
+            .collect()
+    }
+
+    /// The classification of the fault at position `i`.
+    fn get(&self, i: usize) -> ClassifiedFault {
+        let start = match i {
+            0 => 0,
+            _ => self.loc_ends[i - 1] as usize,
+        };
+        ClassifiedFault {
+            fault: self.faults[i],
+            category: self.categories[i],
+            locations: self.locations[start..self.loc_ends[i] as usize].to_vec(),
+        }
+    }
+}
+
 /// Carry pieces accumulated while the staged pipeline runs; assembled
 /// into an [`EcoCarry`] by the final stage.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CarryParts {
-    pub(crate) classified: Vec<ClassifiedFault>,
+    pub(crate) classified: CarriedClassification,
     pub(crate) alt_vectors: Vec<Vec<V3>>,
     pub(crate) alt_trace: Option<GoodTrace>,
-    pub(crate) alt_detections: HashMap<Fault, Option<usize>>,
+    pub(crate) alt_detections: Vec<Option<usize>>,
     pub(crate) hard: Vec<Fault>,
     pub(crate) comb_outcome: Option<CombPhaseOutcome>,
     pub(crate) affected: Vec<Fault>,
@@ -236,16 +295,15 @@ impl PipelineSession {
         );
         let start = Instant::now();
         let mark = fscan_alloctrack::stage_mark();
-        let prior_cls: HashMap<Fault, &ClassifiedFault> = carry
-            .map(|c| c.classified.iter().map(|cf| (cf.fault, cf)).collect())
-            .unwrap_or_default();
+        let prior_cls: HashMap<Fault, usize> =
+            carry.map(|c| c.classified.positions()).unwrap_or_default();
         let mut slots: Vec<Option<ClassifiedFault>> = vec![None; faults.len()];
         let mut stale: Vec<usize> = Vec::new();
         let mut reused = 0u64;
         for (i, f) in faults.iter().enumerate() {
-            match prior_cls.get(f) {
-                Some(cf) if !in_support(f) => {
-                    slots[i] = Some((*cf).clone());
+            match (carry, prior_cls.get(f)) {
+                (Some(c), Some(&k)) if !in_support(f) => {
+                    slots[i] = Some(c.classified.get(k));
                     reused += 1;
                 }
                 _ => stale.push(i),
@@ -279,7 +337,6 @@ impl PipelineSession {
                 .count(),
             metrics,
         };
-        parts.classified = classified.clone();
 
         // Stage 2: alternating sequence. The good trace replays from the
         // prior run's (cycles outside the dirty cones are copied, not
@@ -307,16 +364,20 @@ impl PipelineSession {
             }
             _ => GoodTrace::compute(&eval, phase.vectors(), &init),
         };
+        let prior_det: HashMap<Fault, Option<usize>> = match carry {
+            Some(c) if vectors_match => c
+                .affected
+                .iter()
+                .copied()
+                .zip(c.alt_detections.iter().copied())
+                .collect(),
+            _ => HashMap::new(),
+        };
         let mut det_slots: Vec<Option<Option<usize>>> = vec![None; affected.len()];
         let mut stale: Vec<usize> = Vec::new();
         let mut reused = 0u64;
         for (i, f) in affected.iter().enumerate() {
-            let prior_det = if vectors_match {
-                carry.and_then(|c| c.alt_detections.get(f))
-            } else {
-                None
-            };
-            match prior_det {
+            match prior_det.get(f) {
                 Some(&d) if !in_support(f) => {
                     det_slots[i] = Some(d);
                     reused += 1;
@@ -360,11 +421,7 @@ impl PipelineSession {
             arena_footprint(nodes, config.lane_width),
         );
         parts.alt_vectors = phase.vectors().to_vec();
-        parts.alt_detections = affected
-            .iter()
-            .copied()
-            .zip(detections.iter().copied())
-            .collect();
+        parts.alt_detections = detections;
         parts.alt_trace = Some(trace);
         let vectors = phase.into_vectors();
 
@@ -477,14 +534,7 @@ impl PipelineSession {
             );
             outcome
         } else {
-            let locations: HashMap<Fault, Vec<ChainLocation>> = classified
-                .iter()
-                .map(|c| (c.fault, c.locations.clone()))
-                .collect();
-            let target_locs: Vec<Vec<ChainLocation>> = targets
-                .iter()
-                .map(|f| locations.get(f).cloned().unwrap_or_default())
-                .collect();
+            let target_locs = target_locations(&classified, &targets);
             let dist = config
                 .dist
                 .unwrap_or_else(|| DistParams::paper(patched.max_chain_len()));
@@ -504,6 +554,7 @@ impl PipelineSession {
             );
             outcome
         };
+        parts.classified = CarriedClassification::pack(classified);
         parts.seq_targets = targets;
         parts.seq_outcome = Some(seq_outcome.clone());
 
@@ -530,5 +581,32 @@ impl PipelineSession {
             carry: parts.into_carry(&config),
         };
         Ok((report, patched))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::classify::classify_faults;
+    use fscan_fault::{all_faults, collapse};
+    use fscan_netlist::{generate, GeneratorConfig};
+    use fscan_scan::{insert_functional_scan, TpiConfig};
+
+    #[test]
+    fn carried_classification_round_trips() {
+        let circuit = generate(&GeneratorConfig::new("carry", 5).gates(150).dffs(10));
+        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
+        let faults = collapse(design.circuit(), &all_faults(design.circuit()));
+        let mut classified = classify_faults(&design, &faults);
+        // Located faults first, so ranges past the first start above 0.
+        classified.sort_by_key(|c| c.locations.is_empty());
+        assert!(classified.iter().any(|c| c.locations.is_empty()));
+        assert!(classified.iter().any(|c| c.locations.len() > 1));
+        let carried = CarriedClassification::pack(classified.clone());
+        let positions = carried.positions();
+        for (i, c) in classified.iter().enumerate() {
+            assert_eq!(positions[&c.fault], i);
+            assert_eq!(carried.get(i), *c);
+        }
     }
 }

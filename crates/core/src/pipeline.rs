@@ -39,7 +39,7 @@ use fscan_sim::{
 };
 
 use crate::alternating::{AlternatingPhase, AlternatingReport};
-use crate::eco::{alt_sim_with_trace, CarryParts, EcoCarry};
+use crate::eco::{alt_sim_with_trace, CarriedClassification, CarryParts, EcoCarry};
 use crate::classify::{
     classify_faults_sharded_at, Category, ChainLocation, ClassifiedFault, ClassifySummary,
 };
@@ -69,6 +69,22 @@ pub(crate) fn fill_mem(
     metrics.mem.peak_bytes = mark.peak();
     metrics.mem.reallocs = mark.reallocs();
     metrics.mem.arena_bytes = arena_bytes;
+}
+
+/// Each seq target's chain locations as classification found them (none
+/// for a fault the classification does not list).
+pub(crate) fn target_locations(
+    classified: &[ClassifiedFault],
+    targets: &[Fault],
+) -> Vec<Vec<ChainLocation>> {
+    let locations: HashMap<Fault, &[ChainLocation]> = classified
+        .iter()
+        .map(|c| (c.fault, c.locations.as_slice()))
+        .collect();
+    targets
+        .iter()
+        .map(|f| locations.get(f).map_or_else(Vec::new, |l| l.to_vec()))
+        .collect()
 }
 
 /// Configuration of the full pipeline.
@@ -648,14 +664,11 @@ impl Classified {
             mark,
             arena_footprint(nodes, self.config.lane_width),
         );
+        // `classified` joins the carry at `seq()`: no later checkpoint
+        // exposes it for edits, so the value recorded there is this one.
         let carry_parts = CarryParts {
-            classified: self.classified.clone(),
             alt_vectors: phase.vectors().to_vec(),
-            alt_detections: affected
-                .iter()
-                .copied()
-                .zip(detections.iter().copied())
-                .collect(),
+            alt_detections: detections,
             alt_trace: Some(trace),
             ..CarryParts::default()
         };
@@ -873,17 +886,9 @@ impl AfterCompact {
     /// controllability/observability over `remaining ∪ missed_easy`,
     /// then the final report.
     pub fn seq(self) -> PipelineReport {
-        let locations: HashMap<Fault, Vec<ChainLocation>> = self
-            .classified
-            .iter()
-            .map(|c| (c.fault, c.locations.clone()))
-            .collect();
         let mut targets: Vec<Fault> = self.remaining.clone();
         targets.extend(self.missed_easy.iter().copied());
-        let target_locs: Vec<Vec<ChainLocation>> = targets
-            .iter()
-            .map(|f| locations.get(f).cloned().unwrap_or_default())
-            .collect();
+        let target_locs = target_locations(&self.classified, &targets);
         let dist = self
             .config
             .dist
@@ -908,6 +913,7 @@ impl AfterCompact {
             arena_footprint(nodes, LaneWidth::W64),
         );
         let mut carry_parts = self.carry_parts;
+        carry_parts.classified = CarriedClassification::pack(self.classified);
         carry_parts.seq_targets = targets;
         carry_parts.seq_outcome = Some(seq_outcome.clone());
 

@@ -60,11 +60,26 @@ impl<'a> RunRequest<'a> {
     }
 }
 
+/// Opens a connection with Nagle's algorithm off: each request leaves
+/// as one write ([`send`]), so no segment waits for the server's
+/// delayed ACK of an earlier one.
+fn connect(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Sends a request's head and body as one buffer in one write.
+fn send(stream: &mut TcpStream, head: &str, body: &[u8]) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(head.len() + body.len());
+    message.extend_from_slice(head.as_bytes());
+    message.extend_from_slice(body);
+    stream.write_all(&message)
+}
+
 fn exchange(addr: SocketAddr, head: &str, body: &[u8]) -> Result<Response, RequestError> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    let mut stream = connect(addr)?;
+    send(&mut stream, head, body)?;
     read_response(&mut stream)
 }
 
@@ -114,14 +129,12 @@ impl Session {
     /// Opens a connection for a sequence of exchanges.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Session> {
         Ok(Session {
-            stream: TcpStream::connect(addr)?,
+            stream: connect(addr)?,
         })
     }
 
     fn exchange(&mut self, head: &str, body: &[u8]) -> Result<Response, RequestError> {
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        send(&mut self.stream, head, body)?;
         read_response(&mut self.stream)
     }
 

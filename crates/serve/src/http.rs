@@ -232,23 +232,27 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response and flushes it. `close`
-/// selects the `Connection` header: `close` ends the exchange loop,
-/// `keep-alive` invites the client to reuse the socket.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Renders a response head: status line, `content-type`, the framing
+/// header (`content-length` for `Some(body_len)`, `transfer-encoding:
+/// chunked` for `None`), `connection`, the extra headers, and the blank
+/// line. The buffer has room for a `body_len`-byte body to follow.
+fn render_head(
     status: u16,
     content_type: &str,
+    body_len: Option<usize>,
     extra_headers: &[(&str, &str)],
-    body: &[u8],
     close: bool,
-) -> io::Result<()> {
+) -> Vec<u8> {
+    let framing = match body_len {
+        Some(n) => format!("content-length: {n}"),
+        None => "transfer-encoding: chunked".to_string(),
+    };
     let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n{}\r\nconnection: {}\r\n",
         status,
         reason(status),
         content_type,
-        body.len(),
+        framing,
         if close { "close" } else { "keep-alive" }
     );
     for (name, value) in extra_headers {
@@ -258,30 +262,54 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut message = head.into_bytes();
+    message.reserve_exact(body_len.unwrap_or(0));
+    message
+}
+
+/// Writes a complete fixed-length response in one `write` and flushes
+/// it. `close` selects the `Connection` header: `close` ends the
+/// exchange loop, `keep-alive` invites the client to reuse the socket.
+///
+/// Head and body leave as one buffer: written separately, the body of
+/// every answer waited for the peer's delayed ACK of the head (Nagle's
+/// algorithm), about 40 ms per response.
+pub fn write_response<W: Write>(
+    stream: &mut W,
+    status: u16,
+    content_type: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+    close: bool,
+) -> io::Result<()> {
+    let mut message = render_head(status, content_type, Some(body.len()), extra_headers, close);
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
 /// An in-flight `Transfer-Encoding: chunked` response.
 ///
 /// Created by [`start_chunked`]; each [`chunk`](ChunkedWriter::chunk)
-/// flushes immediately so the client observes checkpoints as they
+/// goes out as one `write` so the client observes checkpoints as they
 /// complete, and [`finish`](ChunkedWriter::finish) terminates the body.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+pub struct ChunkedWriter<'a, W: Write> {
+    stream: &'a mut W,
 }
 
-impl ChunkedWriter<'_> {
-    /// Sends one chunk (empty input is skipped: a zero-length chunk
-    /// would terminate the body).
+impl<W: Write> ChunkedWriter<'_, W> {
+    /// Sends one chunk — size line, data and CRLF in a single `write`
+    /// (empty input is skipped: a zero-length chunk would terminate the
+    /// body).
     pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        let mut frame = format!("{:x}\r\n", data.len()).into_bytes();
+        frame.reserve_exact(data.len() + 2);
+        frame.extend_from_slice(data);
+        frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&frame)?;
         self.stream.flush()
     }
 
@@ -292,31 +320,18 @@ impl ChunkedWriter<'_> {
     }
 }
 
-/// Writes a chunked-response head and returns the body writer. The
-/// chunked framing self-delimits, so `close: false` keeps the
-/// connection reusable after [`ChunkedWriter::finish`].
-pub fn start_chunked<'a>(
-    stream: &'a mut TcpStream,
+/// Writes a chunked-response head in one `write` and returns the body
+/// writer. The chunked framing self-delimits, so `close: false` keeps
+/// the connection reusable after [`ChunkedWriter::finish`].
+pub fn start_chunked<'a, W: Write>(
+    stream: &'a mut W,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     close: bool,
-) -> io::Result<ChunkedWriter<'a>> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n",
-        status,
-        reason(status),
-        content_type,
-        if close { "close" } else { "keep-alive" }
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
+) -> io::Result<ChunkedWriter<'a, W>> {
+    let head = render_head(status, content_type, None, extra_headers, close);
+    stream.write_all(&head)?;
     stream.flush()?;
     Ok(ChunkedWriter { stream })
 }
@@ -520,5 +535,145 @@ mod tests {
         assert_eq!(streamed.chunks.len(), 2);
         assert_eq!(streamed.text(), "one\ntwo\n");
         server.join().unwrap();
+    }
+
+    /// A writer that accepts every byte and records each `write` call.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Recorder {
+        fn bytes(&self) -> Vec<u8> {
+            self.writes.concat()
+        }
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The head the two-write framing sent before the body, kept as the
+    /// byte-level reference for the one-write framing.
+    fn reference_head(
+        status: u16,
+        content_type: &str,
+        framing: &str,
+        extra_headers: &[(&str, &str)],
+        close: bool,
+    ) -> String {
+        let mut head = format!(
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n{}\r\nconnection: {}\r\n",
+            status,
+            reason(status),
+            content_type,
+            framing,
+            if close { "close" } else { "keep-alive" }
+        );
+        for (name, value) in extra_headers {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        head.push_str("\r\n");
+        head
+    }
+
+    const EXTRA: &[(&str, &str)] = &[
+        ("x-fscan-cache", "hit"),
+        ("x-fscan-key", "00000000deadbeef"),
+    ];
+
+    #[test]
+    fn fixed_responses_are_one_write_with_unchanged_bytes() {
+        let busy = br#"{"error":{"kind":"busy","message":"server at capacity: accept queue full, retry later"}}"#;
+        let cases: [(u16, &[(&str, &str)], &[u8], bool); 8] = [
+            (200, &[], b"{\"status\":\"ok\"}", false),
+            (200, EXTRA, b"{\"report\":1}", false),
+            (200, EXTRA, b"", true),
+            (
+                400,
+                &[],
+                br#"{"error":{"kind":"json","message":"bad"}}"#,
+                false,
+            ),
+            (
+                404,
+                &[],
+                br#"{"error":{"kind":"http","message":"no such endpoint"}}"#,
+                false,
+            ),
+            (405, EXTRA, b"{}", false),
+            (
+                413,
+                &[],
+                br#"{"error":{"kind":"json","message":"request body too large"}}"#,
+                true,
+            ),
+            (503, &[], busy, true),
+        ];
+        for (status, extra, body, close) in cases {
+            let mut out = Recorder::default();
+            write_response(&mut out, status, "application/json", extra, body, close).unwrap();
+            assert_eq!(
+                out.writes.len(),
+                1,
+                "status {status}: one write per response"
+            );
+            let mut expected = reference_head(
+                status,
+                "application/json",
+                &format!("content-length: {}", body.len()),
+                extra,
+                close,
+            )
+            .into_bytes();
+            expected.extend_from_slice(body);
+            assert_eq!(out.bytes(), expected, "status {status}");
+        }
+        // One literal anchor, independent of the reference renderer.
+        let mut out = Recorder::default();
+        write_response(&mut out, 503, "application/json", &[], b"{}", true).unwrap();
+        assert_eq!(
+            out.bytes(),
+            b"HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 2\r\nconnection: close\r\n\r\n{}"
+        );
+    }
+
+    #[test]
+    fn chunked_head_chunks_and_terminator_are_one_write_each() {
+        for (extra, close) in [(&[][..], false), (EXTRA, true)] {
+            let mut out = Recorder::default();
+            let mut w = start_chunked(&mut out, 200, "application/x-ndjson", extra, close).unwrap();
+            w.chunk(b"{\"checkpoint\":\"classify\"}\n").unwrap();
+            w.chunk(b"").unwrap();
+            w.chunk(&[b'x'; 300]).unwrap();
+            w.finish().unwrap();
+            // Head, two non-empty chunks, terminator; the empty chunk
+            // writes nothing.
+            assert_eq!(out.writes.len(), 4);
+            let mut expected = reference_head(
+                200,
+                "application/x-ndjson",
+                "transfer-encoding: chunked",
+                extra,
+                close,
+            )
+            .into_bytes();
+            assert_eq!(out.writes[0], expected);
+            assert_eq!(out.writes[1], b"1a\r\n{\"checkpoint\":\"classify\"}\n\r\n");
+            let mut big = b"12c\r\n".to_vec();
+            big.extend_from_slice(&[b'x'; 300]);
+            big.extend_from_slice(b"\r\n");
+            assert_eq!(out.writes[2], big);
+            assert_eq!(out.writes[3], b"0\r\n\r\n");
+            expected.extend(out.writes[1..].concat());
+            assert_eq!(out.bytes(), expected);
+        }
     }
 }

@@ -228,6 +228,7 @@ pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
 /// accepting.
 fn reject_busy(mut conn: TcpStream) {
     let _ = conn.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = conn.set_nodelay(true);
     let _ = read_request(&mut BufReader::new(&mut conn));
     let _ = error_response(
         &mut conn,
@@ -256,6 +257,10 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared) {
 /// timeout fires, framing breaks, or the server is shutting down.
 fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
+    // Every answer is one complete write (see `http`); with Nagle's
+    // algorithm on, a write that follows an unacknowledged one waits for
+    // the client's delayed ACK (~40 ms), so send segments immediately.
+    let _ = stream.set_nodelay(true);
     // The reader half owns the buffer for the connection's lifetime so
     // read-ahead survives across requests; writes go to `stream`.
     let Ok(read_half) = stream.try_clone() else {
@@ -729,6 +734,23 @@ fn parse_eco_request(request: &Request) -> Result<EcoParams, Error> {
     })
 }
 
+/// Parses an `/eco` upload with the streaming reader (its incremental
+/// content hash doubles as the bench component of the new design's
+/// key) and inserts functional scan. No `topology()` here: on the
+/// incremental path the patched topology comes from
+/// `CompiledTopology::patch`, not a fresh compile.
+fn build_eco_design(params: &EcoParams) -> Result<(ScanDesign, u64), Error> {
+    let mut reader = BenchReader::new(&params.name);
+    reader.feed(&params.bench)?;
+    let bench_hash = reader.content_hash64();
+    let circuit = reader.finish()?;
+    let tpi = TpiConfig {
+        num_chains: params.chains.max(1),
+        ..TpiConfig::default()
+    };
+    Ok((insert_functional_scan(&circuit, &tpi)?, bench_hash))
+}
+
 /// `POST /eco` — incremental rerun against a cached base run.
 ///
 /// The edited netlist arrives whole; the server diffs it against the
@@ -764,47 +786,28 @@ fn handle_eco(
             close,
         );
     };
-    // Streaming parse of the edited netlist; the incremental content
-    // hash doubles as the bench component of the new design's key.
-    let mut reader = BenchReader::new(&params.name);
-    if let Err(e) = reader.feed(&params.bench) {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        let e = Error::from(e);
-        return error_response(stream, 400, e.kind(), &e.to_string(), close);
-    }
-    let bench_hash = reader.content_hash64();
-    let circuit = match reader.finish() {
-        Ok(c) => c,
+    let (new_design, bench_hash) = match build_eco_design(&params) {
+        Ok(built) => built,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let e = Error::from(e);
-            return error_response(stream, 400, e.kind(), &e.to_string(), close);
-        }
-    };
-    let tpi = TpiConfig {
-        num_chains: params.chains.max(1),
-        ..TpiConfig::default()
-    };
-    // No topology() here: on the incremental path the patched topology
-    // comes from `CompiledTopology::patch`, not a fresh compile.
-    let new_design = match insert_functional_scan(&circuit, &tpi) {
-        Ok(d) => d,
-        Err(e) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let e = Error::from(e);
             return error_response(stream, 400, e.kind(), &e.to_string(), close);
         }
     };
     let new_key = design_key_parts(&params.name, params.chains, bench_hash);
 
     shared.counters.runs.fetch_add(1, Ordering::Relaxed);
-    let incremental = NetlistDelta::diff(base.design.circuit(), new_design.circuit())
-        .ok()
-        .and_then(|delta| {
-            PipelineSession::shared(Arc::clone(&base.design), params.config.clone())
-                .rerun_with_design(&base.report, &delta)
-                .ok()
-        });
+    // Once diffed, the edited design is let go: the incremental rerun
+    // patches the base instead, and holding both through it costs a
+    // design's worth of heap. A refused rerun rebuilds it for the cold
+    // run.
+    let delta = NetlistDelta::diff(base.design.circuit(), new_design.circuit());
+    let mut cold_design = Some(new_design);
+    let incremental = delta.ok().and_then(|delta| {
+        cold_design = None;
+        PipelineSession::shared(Arc::clone(&base.design), params.config.clone())
+            .rerun_with_design(&base.report, &delta)
+            .ok()
+    });
     let (report, design, reused, recomputed) = match incremental {
         Some((report, patched)) => {
             let totals = report.total_counters();
@@ -816,7 +819,14 @@ fn handle_eco(
             )
         }
         None => {
-            let design = Arc::new(new_design);
+            let design = Arc::new(match cold_design {
+                Some(design) => design,
+                None => {
+                    build_eco_design(&params)
+                        .expect("the edited design built a moment ago")
+                        .0
+                }
+            });
             let report =
                 PipelineSession::shared(Arc::clone(&design), params.config).run();
             let recomputed = report.total_faults as u64;

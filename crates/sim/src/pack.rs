@@ -186,6 +186,17 @@ pub fn pack_order(topo: &CompiledTopology, good: &[V3], faults: &[Fault]) -> Vec
     );
     let dfs = sensitized_positions(topo, good);
     let heads = ffr_heads(topo);
+    // The class part of the key walks the chain behind each fault
+    // (`transmitted_effect`): compute it once per fault, not once per
+    // comparison. Eight bytes a fault; a cached key of the whole tuple
+    // would hold forty-eight.
+    let class: Vec<(u8, u32, u8)> = faults
+        .iter()
+        .map(|&f| match transmitted_effect(topo, good, f) {
+            Some((stem, val)) => (0u8, dfs[stem], val as u8),
+            None => (1u8, dfs[heads[f.affected_node().index()] as usize], 0),
+        })
+        .collect();
     let mut order: Vec<usize> = (0..faults.len()).collect();
     order.sort_unstable_by_key(|&i| {
         let f = faults[i];
@@ -193,11 +204,7 @@ pub fn pack_order(topo: &CompiledTopology, good: &[V3], faults: &[Fault]) -> Vec
             FaultSite::Stem(n) => (n, usize::MAX),
             FaultSite::Branch { gate, pin } => (gate, pin),
         };
-        let class = match transmitted_effect(topo, good, f) {
-            Some((stem, val)) => (0u8, dfs[stem], val as u8),
-            None => (1u8, dfs[heads[node.index()] as usize], 0),
-        };
-        (class, dfs[node.index()], node.index(), pin, f.stuck, i)
+        (class[i], dfs[node.index()], node.index(), pin, f.stuck, i)
     });
     order
 }
