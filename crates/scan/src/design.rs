@@ -331,10 +331,26 @@ impl ScanDesign {
     ///
     /// Returns the first violated condition.
     pub fn verify(&self) -> Result<(), ScanError> {
+        // Validate first: a cyclic circuit has no plan to evaluate on.
+        self.validate()?;
+        self.check_chains(&self.scan_mode_values())
+    }
+
+    /// [`verify`](Self::verify) against scan-mode values the caller
+    /// already holds (they must equal
+    /// [`scan_mode_values`](Self::scan_mode_values)), compiling no plan.
+    pub(crate) fn verify_with(&self, values: &[V3]) -> Result<(), ScanError> {
+        self.validate()?;
+        self.check_chains(values)
+    }
+
+    fn validate(&self) -> Result<(), ScanError> {
         self.circuit
             .validate()
-            .map_err(|e| ScanError::Structure(e.to_string()))?;
-        let values = self.scan_mode_values();
+            .map_err(|e| ScanError::Structure(e.to_string()))
+    }
+
+    fn check_chains(&self, values: &[V3]) -> Result<(), ScanError> {
         for chain in &self.chains {
             for cell in &chain.cells {
                 // Side inputs must be forced.

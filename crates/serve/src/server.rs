@@ -49,15 +49,18 @@
 //!
 //! Workers run owned [`PipelineSession`]s over `Arc<ScanDesign>`s
 //! shared out of the [`DesignCache`] — no request borrows from another.
-//! Graceful shutdown flips an [`AtomicBool`], wakes the accept loop
-//! with a self-connection, drops the queue sender so workers drain
-//! in-flight connections, and joins every thread.
+//! Graceful shutdown flips an [`AtomicBool`], shuts the read half of
+//! every live connection (a worker waiting on an idle keep-alive socket
+//! returns at once; an answer being written still goes out whole),
+//! wakes the accept loop with a self-connection, drops the queue sender
+//! so workers drain in-flight connections, and joins every thread.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -122,6 +125,53 @@ struct Shared {
     counters: ServerCounters,
     shutdown: AtomicBool,
     idle_timeout: Duration,
+    /// A handle on every connection a worker is serving, keyed by a
+    /// per-connection id, so shutdown can end idle reads.
+    live: Mutex<HashMap<u64, TcpStream>>,
+    next_conn: AtomicU64,
+}
+
+impl Shared {
+    /// Flags shutdown, then shuts the read half of every live
+    /// connection: a worker blocked reading an idle keep-alive socket
+    /// sees end-of-stream at once instead of waiting out the idle
+    /// timeout, while responses keep their write half. A connection
+    /// registered after the sweep sees the flag before its first read.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for conn in self.live_connections().values() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// The live-connection registry. Every update is one insert or one
+    /// remove, so a guard poisoned by a panicking worker still holds a
+    /// valid map, and shutdown must reach the other connections anyway.
+    fn live_connections(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Registration of one served connection in [`Shared::live`], removed
+/// on drop.
+struct LiveConnection<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl<'a> LiveConnection<'a> {
+    fn register(shared: &'a Shared, stream: &TcpStream) -> Option<LiveConnection<'a>> {
+        let handle = stream.try_clone().ok()?;
+        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+        shared.live_connections().insert(id, handle);
+        Some(LiveConnection { shared, id })
+    }
+}
+
+impl Drop for LiveConnection<'_> {
+    fn drop(&mut self) {
+        self.shared.live_connections().remove(&self.id);
+    }
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -141,7 +191,7 @@ impl ServerHandle {
 
     /// Requests shutdown and blocks until every thread has drained.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
         // Wake the accept loop; it re-checks the flag per connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
@@ -173,6 +223,8 @@ pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
         counters: ServerCounters::default(),
         shutdown: AtomicBool::new(false),
         idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
+        live: Mutex::new(HashMap::new()),
+        next_conn: AtomicU64::new(0),
     });
 
     let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(config.queue_depth);
@@ -266,6 +318,11 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
+    // Registered before the loop's first shutdown check (see
+    // `Shared::begin_shutdown`).
+    let Some(_live) = LiveConnection::register(shared, stream) else {
+        return;
+    };
     let mut reader = BufReader::new(read_half);
     let mut served = 0u64;
     loop {
@@ -326,7 +383,7 @@ fn dispatch(
                 b"{\"status\":\"shutting_down\"}",
                 true,
             );
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.begin_shutdown();
             // Wake the accept loop so it observes the flag.
             if let Ok(addr) = stream.local_addr() {
                 let _ = TcpStream::connect(addr);

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use fscan::json;
 use fscan_netlist::{generate, write_bench, GeneratorConfig};
@@ -226,6 +227,59 @@ fn distinct_netlists_occupy_distinct_cache_entries() {
         Some(2)
     );
     handle.shutdown();
+}
+
+#[test]
+fn shutdown_ends_idle_keep_alive_reads_at_once() {
+    let handle = spawn(&ServerConfig {
+        workers: 2,
+        idle_timeout_ms: 10_000,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut session = client::Session::connect(handle.addr()).unwrap();
+    assert_eq!(session.get("/healthz").unwrap().status, 200);
+    // A worker now waits on the open, idle connection.
+    let start = Instant::now();
+    handle.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown waited {took:?} on an idle keep-alive connection"
+    );
+    drop(session);
+}
+
+#[test]
+fn shutdown_lets_the_answer_in_flight_finish() {
+    let handle = spawn(&ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let bench = write_bench(&generate(
+        &GeneratorConfig::new("inflight", 3).gates(1500).dffs(40),
+    ));
+    let run = thread::spawn(move || {
+        let mut session = client::Session::connect(addr).unwrap();
+        session.post_run(&RunRequest::new(&bench, "inflight", 2)).unwrap()
+    });
+    // Each /stats answer counts itself; one request more means the run
+    // has been read and is being answered.
+    for polls in 1.. {
+        let stats = client::get(addr, "/stats").unwrap();
+        let doc = json::parse(&stats.text()).unwrap();
+        if doc.get("requests").and_then(|v| v.as_u64()) > Some(polls) {
+            break;
+        }
+        thread::sleep(Duration::from_millis(2));
+    }
+    handle.shutdown();
+    let response = run.join().unwrap();
+    assert_eq!(response.status, 200, "{}", response.text());
+    let report = json::parse(&response.text()).unwrap();
+    assert!(report.get("total_faults").is_some(), "{}", response.text());
 }
 
 #[test]
